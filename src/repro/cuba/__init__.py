@@ -19,6 +19,7 @@ from repro.cuba.overapprox import (
     abstract_visible_levels,
     build_abstraction,
     compute_z,
+    generators_in_z,
 )
 from repro.cuba.fcr import FCRReport, check_fcr, thread_shallow_psa
 from repro.cuba.scheme1 import RkSequence, scheme1_rk, scheme1_sk
@@ -42,6 +43,7 @@ __all__ = [
     "check_fcr",
     "compute_z",
     "generator_analysis",
+    "generators_in_z",
     "quick_check",
     "scheme1_rk",
     "scheme1_sk",

@@ -20,7 +20,7 @@ from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
 from repro.cuba.generators import generator_analysis
-from repro.cuba.overapprox import compute_z
+from repro.cuba.overapprox import generators_in_z
 from repro.errors import ContextExplosionError, CubaError
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
@@ -61,11 +61,9 @@ def algorithm3(
         )
     method = f"alg3(T({engine.sequence_name}))"
 
-    analysis = generator_analysis(cpds)
-    z = compute_z(cpds)
-    reachable_generators = analysis.intersect(z)
+    z_size, reachable_generators = generators_in_z(cpds, generator_analysis(cpds))
     stats: dict = {
-        "Z": len(z),
+        "Z": z_size,
         "G∩Z": len(reachable_generators),
         "plateaus_rejected": [],
     }

@@ -6,6 +6,13 @@
 ``post*`` saturation and decide finiteness by cycle analysis (Fig. 4:
 "the absence of loops ... implies their languages are finite").
 
+Each thread costs one saturation and one ``O(V + E)`` pass over its PSA
+(:meth:`~repro.pds.psa.PSA.loop_analysis`): one Tarjan run labels every
+useful state with its SCC id, and one scan over the edges finds those
+whose ends share an id.  Such an edge lies on a cycle.  The language is
+infinite iff one of them reads a real symbol, and the PSA has a Fig. 4
+loop (``thread_has_loop``) iff there is one at all, ε-labelled or not.
+
 When FCR holds the explicit engine may represent every ``Rk``
 extensionally; otherwise the symbolic engine must be used.
 """
@@ -59,10 +66,8 @@ def check_fcr(cpds: CPDS) -> FCRReport:
     (useful cycles pumping a real symbol); ``thread_has_loop`` records
     the paper's coarser graph-loop check of Fig. 4 for comparison.
     """
-    finite: list[bool] = []
-    loops: list[bool] = []
-    for pds in cpds.threads:
-        psa = thread_shallow_psa(pds)
-        finite.append(psa.language_is_finite())
-        loops.append(psa.has_loop())
-    return FCRReport(tuple(finite), tuple(loops))
+    verdicts = [thread_shallow_psa(pds).loop_analysis() for pds in cpds.threads]
+    return FCRReport(
+        tuple(finite for finite, _ in verdicts),
+        tuple(has_loop for _, has_loop in verdicts),
+    )

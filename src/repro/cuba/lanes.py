@@ -26,6 +26,7 @@ from __future__ import annotations
 from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
+from repro.cuba.fcr import FCRReport
 from repro.errors import ContextExplosionError, CubaError
 from repro.obs import trace
 from repro.reach import registry
@@ -37,14 +38,20 @@ __all__ = ["ensure_applicable", "run_lane", "scheme1_lane"]
 
 
 def ensure_applicable(
-    cls: type[ReachabilityEngine], cpds: CPDS, prop: Property | None = None
+    cls: type[ReachabilityEngine],
+    cpds: CPDS,
+    prop: Property | None = None,
+    *,
+    fcr: FCRReport | None = None,
 ) -> None:
     """Raise :class:`~repro.errors.CubaError` unless lane ``cls`` may run
     on this model.  Callers that construct engines themselves must call
     this *before* construction — building an engine whose precondition
     fails (e.g. a wuba engine on a non-WCR model) can diverge into the
-    state-limit guard instead of failing fast."""
-    if not cls.applicable(cpds, prop):
+    state-limit guard instead of failing fast.  ``fcr``, the model's
+    FCR report if the caller holds one, is passed on to the lane's
+    :meth:`~repro.reach.base.ReachabilityEngine.applicable`."""
+    if not cls.applicable(cpds, prop, fcr=fcr):
         raise CubaError(
             f"lane {cls.lane!r} is not applicable to this model "
             "(its precondition failed); applicable lanes: "

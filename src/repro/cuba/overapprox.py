@@ -7,6 +7,17 @@ asynchronous product of these finite systems is explored exhaustively;
 its reachable set ``Z`` overapproximates the reachable visible states
 ``T(R)`` (Lemma 12) and is used to bound the reachable generators
 ``G ∩ T(R) ⊆ G ∩ Z``.
+
+The exhaustive BFS runs over ints, not visible states.  Each thread's
+``(shared, top)`` alphabet of ``Mi`` is interned once, and a product
+state ``⟨q|σ1,...,σn⟩`` is packed into one mixed-radix int with ``q``
+in the lowest digit and ``σi`` in digit ``i``.  A move of ``Mi``
+rewrites two digits, so each of its transitions is stored as the int
+to add to the state with those two digits cleared.  The verdict path
+(:func:`generators_in_z`) needs only ``|Z|`` and ``G ∩ Z``: it tests
+generator membership on the digits and decodes only the members of
+``G ∩ Z`` to :class:`~repro.cpds.state.VisibleState`.
+:func:`compute_z` decodes the whole set from the same BFS.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
+from repro.cuba.generators import GeneratorAnalysis
 from repro.pds.action import ActionKind
 from repro.pds.pds import PDS
 from repro.pds.state import EMPTY
@@ -144,6 +156,100 @@ def abstract_bug_lower_bound(cpds: CPDS, prop) -> int | None:
     return None
 
 
+@dataclass(frozen=True, slots=True)
+class _PackedProduct:
+    """The asynchronous product ``Mn`` over packed int states.
+
+    State ``⟨shared[q]|tops[0][t0],...⟩`` is ``q + Σ ti * strides[i]``;
+    the initial visible state is 0 (every id 0).  ``moves[i][q *
+    len(tops[i]) + t]`` lists, for the local state ``(q, t)`` of ``Mi``,
+    the int each successor adds to a state whose shared and top-``i``
+    digits are zeroed.
+    """
+
+    shared: tuple[Shared, ...]
+    tops: tuple[tuple[Symbol, ...], ...]
+    strides: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def decode(self, codes) -> frozenset[VisibleState]:
+        """The visible states packed as ``codes``."""
+        shared, n_shared = self.shared, len(self.shared)
+        digits = [
+            (alphabet, stride, len(alphabet))
+            for alphabet, stride in zip(self.tops, self.strides)
+        ]
+        return frozenset(
+            VisibleState(
+                shared[code % n_shared],
+                tuple([alphabet[code // stride % n] for alphabet, stride, n in digits]),
+            )
+            for code in codes
+        )
+
+    def reachable(self) -> set[int]:
+        """The BFS closure of the initial state: ``Z``, packed.
+
+        Counts one ``overapprox.abstract_steps`` per dequeued state,
+        that is ``|Z|``, in one bump at the end."""
+        n_shared = len(self.shared)
+        threads = [
+            (stride, len(alphabet), moves)
+            for stride, alphabet, moves in zip(self.strides, self.tops, self.moves)
+        ]
+        seen = {0}
+        work = deque(seen)
+        visit, schedule, pop = seen.add, work.append, work.popleft
+        while work:
+            code = pop()
+            shared = code % n_shared
+            for stride, n_tops, moves in threads:
+                top = code // stride % n_tops
+                targets = moves[shared * n_tops + top]
+                if not targets:
+                    continue
+                base = code - shared - top * stride
+                for delta in targets:
+                    successor = base + delta
+                    if successor not in seen:
+                        visit(successor)
+                        schedule(successor)
+        METER.bump("overapprox.abstract_steps", len(seen))
+        return seen
+
+
+def _pack(cpds: CPDS) -> _PackedProduct:
+    """Intern the Alg. 2 alphabets of ``cpds`` and pack its product."""
+    abstractions = [build_abstraction(pds) for pds in cpds.threads]
+    initial = cpds.initial_state().visible()
+    shared_ids: dict[Shared, int] = {initial.shared: 0}
+    top_ids: list[dict[Symbol, int]] = [{top: 0} for top in initial.tops]
+    for abstraction, ids in zip(abstractions, top_ids):
+        for source, targets in abstraction.transitions.items():
+            for shared, top in (source, *targets):
+                shared_ids.setdefault(shared, len(shared_ids))
+                ids.setdefault(top, len(ids))
+    strides: list[int] = []
+    place = len(shared_ids)
+    for ids in top_ids:
+        strides.append(place)
+        place *= len(ids)
+    moves = []
+    for abstraction, ids, stride in zip(abstractions, top_ids, strides):
+        table: list[tuple[int, ...]] = [()] * (len(shared_ids) * len(ids))
+        for (shared, top), targets in abstraction.transitions.items():
+            table[shared_ids[shared] * len(ids) + ids[top]] = tuple(
+                shared_ids[q] + ids[t] * stride for q, t in targets
+            )
+        moves.append(tuple(table))
+    return _PackedProduct(
+        shared=tuple(shared_ids),
+        tops=tuple(tuple(ids) for ids in top_ids),
+        strides=tuple(strides),
+        moves=tuple(moves),
+    )
+
+
 def compute_z(cpds: CPDS) -> frozenset[VisibleState]:
     """Reachable set ``Z`` of the asynchronous product ``Mn``.
 
@@ -151,20 +257,40 @@ def compute_z(cpds: CPDS) -> frozenset[VisibleState]:
     starts ``M2`` in ``⟨0|1,4⟩`` for Fig. 1) and explores exhaustively —
     the state space is contained in ``Q × Σ≤1_1 × ... × Σ≤1_n``.
     """
-    abstractions = [build_abstraction(pds) for pds in cpds.threads]
-    initial = cpds.initial_state().visible()
-    seen: set[VisibleState] = {initial}
-    work: deque[VisibleState] = deque([initial])
-    while work:
-        current = work.popleft()
-        METER.bump("overapprox.abstract_steps")
-        for index, abstraction in enumerate(abstractions):
-            local = (current.shared, current.tops[index])
-            for shared, top in abstraction.successors(local):
-                tops = list(current.tops)
-                tops[index] = top
-                successor = VisibleState(shared, tuple(tops))
-                if successor not in seen:
-                    seen.add(successor)
-                    work.append(successor)
-    return frozenset(seen)
+    product = _pack(cpds)
+    return product.decode(product.reachable())
+
+
+def generators_in_z(
+    cpds: CPDS, analysis: GeneratorAnalysis
+) -> tuple[int, frozenset[VisibleState]]:
+    """``(|Z|, G ∩ Z)`` from one packed BFS, decoding only ``G ∩ Z``.
+
+    Equal to ``(len(z), analysis.intersect(z))`` for ``z =
+    compute_z(cpds)``: membership in ``G`` (Eq. 2) is tested on the
+    digits, against the ids of each thread's pop targets and of its
+    emerging symbols plus :data:`~repro.pds.state.EMPTY`.
+    """
+    product = _pack(cpds)
+    z = product.reachable()
+    n_shared = len(product.shared)
+    tests = []
+    for alphabet, stride, pops, emerging in zip(
+        product.tops, product.strides, analysis.pop_targets, analysis.emerging
+    ):
+        pop_ids = {index for index, shared in enumerate(product.shared) if shared in pops}
+        top_ids = {
+            index
+            for index, top in enumerate(alphabet)
+            if top is EMPTY or top in emerging
+        }
+        if pop_ids and top_ids:
+            tests.append((stride, len(alphabet), pop_ids, top_ids))
+    generators = []
+    for code in z:
+        shared = code % n_shared
+        for stride, n_tops, pop_ids, top_ids in tests:
+            if shared in pop_ids and code // stride % n_tops in top_ids:
+                generators.append(code)
+                break
+    return len(z), product.decode(generators)

@@ -24,9 +24,9 @@ from repro.cpds.cpds import CPDS
 from repro.cuba.algorithm3 import algorithm3
 from repro.cuba.fcr import FCRReport, check_fcr
 from repro.cuba.generators import generator_analysis
-from repro.cuba.lanes import run_lane
-from repro.cuba.overapprox import compute_z
-from repro.errors import ContextExplosionError, CubaError
+from repro.cuba.lanes import ensure_applicable, run_lane
+from repro.cuba.overapprox import generators_in_z
+from repro.errors import ContextExplosionError
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
@@ -148,15 +148,12 @@ class Cuba:
         The lane's own ``applicable`` precondition replaces the FCR
         dispatch; Table 2's ``(Rk)``/``(T(Rk))`` bound columns are
         specific to the auto procedure, so a named-lane report carries
-        only the explored bound (``interrupted_at``)."""
-        name = registry.canonical_lane(lane)
-        cls = registry.engine_class(name)
-        if not cls.applicable(self.cpds, self.prop):
-            raise CubaError(
-                f"lane {name!r} is not applicable to this model "
-                "(its precondition failed); applicable lanes: "
-                f"{', '.join(registry.applicable_lanes(self.cpds, self.prop)) or 'none'}"
-            )
+        only the explored bound (``interrupted_at``).  FCR is decided
+        once, before the run: the report carries it, and a lane whose
+        precondition is FCR reads it from there."""
+        cls = registry.engine_class(lane)
+        fcr = check_fcr(self.cpds)
+        ensure_applicable(cls, self.cpds, self.prop, fcr=fcr)
         prepared = cls.create(
             self.cpds,
             max_states_per_context=self.max_states_per_context,
@@ -165,7 +162,7 @@ class Cuba:
         self.last_engine = prepared
         result = run_lane(prepared, self.cpds, self.prop, max_rounds=max_rounds)
         return CubaReport(
-            fcr=check_fcr(self.cpds),
+            fcr=fcr,
             result=result,
             winner=result.method,
             interrupted_at=result.bound,
@@ -193,8 +190,9 @@ class Cuba:
                 f"(registered lanes: {', '.join(registry.lane_names())})"
             )
         self.last_engine = engine
-        analysis = generator_analysis(self.cpds)
-        reachable_generators = analysis.intersect(compute_z(self.cpds))
+        _, reachable_generators = generators_in_z(
+            self.cpds, generator_analysis(self.cpds)
+        )
 
         witness = self.prop.find_violation(engine.visible_up_to(0))
         if witness is not None:

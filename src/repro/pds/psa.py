@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.automata import EPSILON, NFA
-from repro.automata.finiteness import has_graph_cycle, language_is_finite
+from repro.automata.finiteness import loop_analysis
 from repro.pds.state import EMPTY, PDSState
 
 Shared = Hashable
@@ -88,17 +88,25 @@ class PSA:
     # ------------------------------------------------------------------
     # Finiteness (FCR support, Sec. 5)
     # ------------------------------------------------------------------
-    def language_is_finite(self) -> bool:
-        """True iff the PSA accepts finitely many PDS states.
+    def loop_analysis(self) -> tuple[bool, bool]:
+        """``(finite, has_loop)`` from one pass over the automaton.
 
-        The control states act as initial states (the PDS shared-state
-        set is finite, so finiteness only hinges on stack words).
+        ``finite``: the PSA accepts finitely many PDS states.  The
+        control states act as initial states (the PDS shared-state set
+        is finite, so finiteness only hinges on stack words).
+        ``has_loop``: the paper's coarser Fig. 4 check, any useful graph
+        cycle.  Both read the same SCC labelling
+        (:func:`repro.automata.finiteness.loop_analysis`).
         """
-        return language_is_finite(self._as_initialized_nfa())
+        return loop_analysis(self._as_initialized_nfa())
+
+    def language_is_finite(self) -> bool:
+        """True iff the PSA accepts finitely many PDS states."""
+        return self.loop_analysis()[0]
 
     def has_loop(self) -> bool:
         """The paper's coarser Fig. 4 check: any useful graph cycle."""
-        return has_graph_cycle(self._as_initialized_nfa())
+        return self.loop_analysis()[1]
 
     def _as_initialized_nfa(self) -> NFA:
         nfa = self.automaton.copy()

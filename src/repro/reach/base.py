@@ -47,6 +47,7 @@ from repro.obs import trace
 if TYPE_CHECKING:
     from repro.core.property import Property
     from repro.cpds.cpds import CPDS
+    from repro.cuba.fcr import FCRReport
     from repro.reach.config import EngineConfig
 
 
@@ -136,9 +137,19 @@ class ReachabilityEngine(abc.ABC):
     # Lane contract
     # ------------------------------------------------------------------
     @classmethod
-    def applicable(cls, cpds: "CPDS", prop: "Property | None" = None) -> bool:
+    def applicable(
+        cls,
+        cpds: "CPDS",
+        prop: "Property | None" = None,
+        *,
+        fcr: "FCRReport | None" = None,
+    ) -> bool:
         """Precondition for this lane on ``(cpds, prop)`` — e.g. FCR for
-        the explicit lane.  Lanes without a precondition return True."""
+        the explicit lane.  Lanes without a precondition return True.
+
+        ``fcr`` is the model's FCR report when the caller already holds
+        one; a lane whose precondition is FCR reads it instead of
+        recomputing it.  Other lanes ignore it."""
         return True
 
     @classmethod

@@ -827,13 +827,15 @@ class ExplicitReach(ReachabilityEngine):
     # Lane contract
     # ------------------------------------------------------------------
     @classmethod
-    def applicable(cls, cpds: CPDS, prop=None) -> bool:
+    def applicable(cls, cpds: CPDS, prop=None, *, fcr=None) -> bool:
         """The explicit lane requires finite context reachability
         (Sec. 5): every per-thread shallow-configuration language must
         be finite or enumeration diverges."""
-        from repro.cuba.fcr import check_fcr
+        if fcr is None:
+            from repro.cuba.fcr import check_fcr
 
-        return check_fcr(cpds).holds
+            fcr = check_fcr(cpds)
+        return fcr.holds
 
     @classmethod
     def create(

@@ -245,11 +245,13 @@ class WubaReach(ReachabilityEngine):
     # Lane contract
     # ------------------------------------------------------------------
     @classmethod
-    def applicable(cls, cpds: CPDS, prop=None) -> bool:
+    def applicable(cls, cpds: CPDS, prop=None, *, fcr=None) -> bool:
         """WCR — every thread's write-free closures must be finite,
         checked like FCR via shallow-configuration finiteness on the
         write-free sub-PDS (sound for closures from arbitrary stacks by
-        the same fresh-top decomposition as Thm. 17)."""
+        the same fresh-top decomposition as Thm. 17), with the same
+        one-pass :meth:`~repro.pds.psa.PSA.loop_analysis`.  The model's
+        FCR report (``fcr``) says nothing about WCR and is ignored."""
         from repro.pds.saturation import shallow_configs_psa
 
         return all(

@@ -43,6 +43,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO
 
 from repro.errors import ServiceError
 from repro.service.client import RetryPolicy, ServiceClient
@@ -131,15 +132,24 @@ def build_workloads(quick: bool = True, max_rounds: int = 6) -> list[WorkloadIte
 # ----------------------------------------------------------------------
 @dataclass
 class Replica:
-    """One spawned ``cuba serve`` subprocess."""
+    """One spawned ``cuba serve`` subprocess.
+
+    Its stdout and stderr go to ``log``, a file, never to a pipe: the
+    daemon writes an audit line per submit, and a pipe nobody reads
+    fills up and blocks the daemon in ``write``."""
 
     proc: subprocess.Popen
     host: str
     port: int
+    log: IO[bytes]
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+    def log_tail(self, size: int = 2000) -> str:
+        """The last ``size`` bytes of the daemon's output."""
+        return Path(self.log.name).read_bytes()[-size:].decode(errors="replace")
 
     def stop(self, timeout: float = 10.0) -> None:
         if self.proc.poll() is None:
@@ -149,6 +159,7 @@ class Replica:
             except subprocess.TimeoutExpired:  # pragma: no cover
                 self.proc.kill()
                 self.proc.wait()
+        self.log.close()
 
 
 def _free_port() -> int:
@@ -185,29 +196,34 @@ def spawn_replicas(
     sharing ``store_path`` (the contention shape under test), and wait
     until every ``/health`` answers.  The default ``thread`` executor
     keeps spawn cost negligible for short smoke profiles; pass
-    ``process`` for the daemon-default execution mode."""
+    ``process`` for the daemon-default execution mode.  Replica ``i``
+    logs to ``<store_path>.replica-<i>.log``."""
     env = _repro_env()
     replicas: list[Replica] = []
     try:
-        for _ in range(count):
+        for index in range(count):
             port = _free_port()
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.cli", "serve",
-                    "--host", "127.0.0.1", "--port", str(port),
-                    "--store", str(store_path),
-                    "--store-mb", str(store_mb),
-                    "--lease-ttl", str(lease_ttl),
-                    "--workers", str(workers),
-                    "--jobs", str(jobs),
-                    "--executor", executor,
-                ],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-            )
-            replicas.append(Replica(proc, "127.0.0.1", port))
+            log = open(f"{store_path}.replica-{index}.log", "wb")
+            try:
+                proc = subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro.cli", "serve",
+                        "--host", "127.0.0.1", "--port", str(port),
+                        "--store", str(store_path),
+                        "--store-mb", str(store_mb),
+                        "--lease-ttl", str(lease_ttl),
+                        "--workers", str(workers),
+                        "--jobs", str(jobs),
+                        "--executor", executor,
+                    ],
+                    env=env,
+                    stdout=log,
+                    stderr=subprocess.STDOUT,
+                )
+            except BaseException:
+                log.close()
+                raise
+            replicas.append(Replica(proc, "127.0.0.1", port, log))
         deadline = time.monotonic() + startup_timeout
         for index, replica in enumerate(replicas):
             probe = ServiceClient(
@@ -217,9 +233,9 @@ def spawn_replicas(
             )
             while True:
                 if replica.proc.poll() is not None:
-                    output = (replica.proc.stdout.read() or "")[-2000:]
                     raise ServiceError(
-                        f"replica {index} exited during startup: {output}"
+                        f"replica {index} exited during startup: "
+                        f"{replica.log_tail()}"
                     )
                 try:
                     probe.health()

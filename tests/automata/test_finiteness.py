@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import EPSILON, NFA, enumerate_words, has_graph_cycle, language_is_finite
+from repro.automata.finiteness import loop_analysis
+from tests.oracles import finiteness as oracle
 
 
 def chain(words_accepting=True):
@@ -119,3 +121,66 @@ def test_finite_verdict_consistent_with_enumeration(nfa):
         assert short == longer
     else:
         assert longer - short or any(len(w) > n for w in longer)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass analysis against the O(SCCs × edges) oracle.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def planted_nfa(draw):
+    """A random NFA with the shapes the one-pass scan must tell apart
+    planted on purpose: ε-cycles, ε-cycles holding one real edge,
+    cycles that are useless (no accepting state after them) or
+    unreachable (no initial state before them), and self-loops of
+    either kind, over several initial states."""
+    n_states = draw(st.integers(min_value=1, max_value=7))
+    states = list(range(n_states))
+    pick = st.sampled_from(states)
+    label = st.sampled_from(["a", "b", EPSILON])
+    nfa = NFA(
+        initial=draw(st.sets(pick, min_size=1, max_size=3)),
+        accepting=draw(st.sets(pick, max_size=3)),
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        nfa.add_transition(draw(pick), draw(label), draw(pick))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        cycle = draw(st.lists(pick, min_size=1, max_size=4, unique=True))
+        labels = [EPSILON] * len(cycle)
+        if draw(st.booleans()):
+            labels[draw(st.integers(0, len(cycle) - 1))] = draw(st.sampled_from(["a", "b"]))
+        for src, dst, edge in zip(cycle, cycle[1:] + cycle[:1], labels):
+            nfa.add_transition(src, edge, dst)
+    if draw(st.booleans()):
+        # A self-loop on a fresh state that only leaves the graph (no
+        # accepting state after it) or only enters it (no initial state
+        # before it).
+        fresh = draw(st.sampled_from(["useless", "unreachable"]))
+        if fresh == "useless":
+            nfa.add_transition(draw(pick), "a", fresh)
+        else:
+            nfa.add_transition(fresh, "a", draw(pick))
+        nfa.add_transition(fresh, draw(label), fresh)
+    return nfa
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_nfa())
+def test_loop_analysis_matches_oracle(nfa):
+    finite, has_loop = loop_analysis(nfa)
+    assert finite == oracle.language_is_finite(nfa)
+    assert has_loop == oracle.has_graph_cycle(nfa)
+    assert language_is_finite(nfa) == finite
+    assert has_graph_cycle(nfa) == has_loop
+    assert has_graph_cycle(nfa, useful_only=False) == oracle.has_graph_cycle(
+        nfa, useful_only=False
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_nfa())
+def test_loop_analysis_matches_oracle_on_unplanted_nfas(nfa):
+    assert loop_analysis(nfa) == (
+        oracle.language_is_finite(nfa),
+        oracle.has_graph_cycle(nfa),
+    )

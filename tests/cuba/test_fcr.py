@@ -1,9 +1,15 @@
-"""Tests for the FCR condition — golden verdicts from Fig. 4 / Ex. 15."""
+"""Tests for the FCR condition — golden verdicts from Fig. 4 / Ex. 15,
+and the per-thread verdicts of every paper model pinned."""
+
+import pytest
 
 from repro.cpds import CPDS
 from repro.cuba import check_fcr, thread_shallow_psa
 from repro.models import fig1_cpds, fig2_cpds
+from repro.models.registry import runnable_benchmarks, smallest_per_row
 from repro.pds import PDS
+from repro.reach import registry
+from tests.oracles import finiteness as oracle
 
 
 class TestFig4Verdicts:
@@ -67,3 +73,69 @@ class TestMixedCases:
         pds.rule(0, "a", 1, ("b",))
         pds.rule(1, "b", 0, ("a",))
         assert check_fcr(CPDS([pds], initial_stacks=[("a",)])).holds
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts: (model, thread_finite, thread_has_loop, applicable lanes),
+# as the O(SCCs × edges) check decided them.  The explicit lane's
+# precondition is FCR and the wuba lane's is WCR, both decided by the
+# same finiteness routine, so the lane sets pin it too.
+# ---------------------------------------------------------------------------
+
+PINNED = (
+    ("fig1", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+    ("fig2", (False, False), (True, True), ('symbolic',)),
+    ("1/Bluetooth-1 [1+1]", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+    ("1/Bluetooth-1 [1+2]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("1/Bluetooth-1 [2+1]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("2/Bluetooth-2 [1+1]", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+    ("2/Bluetooth-2 [1+2]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("2/Bluetooth-2 [2+1]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("3/Bluetooth-3 [1+1]", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+    ("3/Bluetooth-3 [1+2]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("3/Bluetooth-3 [2+1]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("4/BST-Insert [1+1]", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+    ("4/BST-Insert [2+1]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("4/BST-Insert [2+2]", (True, True, True, True), (False, False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("5/FileCrawler [1•+2]", (True, True, True), (False, False, False), ('explicit', 'symbolic', 'wuba')),
+    ("6/K-Induction [1+1]", (False, False), (True, True), ('symbolic',)),
+    ("7/Proc-2 [2+2•]", (False, False, True, True), (True, True, False, False), ('symbolic',)),
+    ("8/Stefan-1 [2]", (False, False), (True, True), ('symbolic', 'wuba')),
+    ("8/Stefan-1 [4]", (False, False, False, False), (True, True, True, True), ('symbolic', 'wuba')),
+    ("9/Dekker [2•]", (True, True), (False, False), ('explicit', 'symbolic', 'wuba')),
+)
+
+MODELS = {
+    "fig1": lambda: (fig1_cpds(), None),
+    "fig2": lambda: (fig2_cpds(), None),
+    **{bench.name: bench.build for bench in runnable_benchmarks()},
+}
+
+
+def test_pins_cover_every_runnable_row():
+    assert {name for name, *_ in PINNED} == set(MODELS)
+
+
+@pytest.mark.parametrize(
+    "name, finite, has_loop, lanes", PINNED, ids=[row[0] for row in PINNED]
+)
+def test_pinned_fcr_and_applicable_lanes(name, finite, has_loop, lanes):
+    cpds, prop = MODELS[name]()
+    report = check_fcr(cpds)
+    assert report.thread_finite == finite
+    assert report.thread_has_loop == has_loop
+    assert registry.applicable_lanes(cpds, prop) == lanes
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1", "fig2", *(bench.name for bench in smallest_per_row())]
+)
+def test_psa_loop_analysis_matches_oracle(name):
+    cpds, _ = MODELS[name]()
+    for pds in cpds.threads:
+        psa = thread_shallow_psa(pds)
+        nfa = psa._as_initialized_nfa()
+        assert psa.loop_analysis() == (
+            oracle.language_is_finite(nfa),
+            oracle.has_graph_cycle(nfa),
+        )

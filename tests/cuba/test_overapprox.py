@@ -1,15 +1,20 @@
 """Tests for Alg. 2 / Z — golden values from Fig. 3 and Ex. 13,
-plus a property-based check of Lemma 12 (T(R) ⊆ Z)."""
+a property-based check of Lemma 12 (T(R) ⊆ Z), and the packed-int BFS
+against the ``VisibleState`` BFS it replaced."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpds import CPDS, VisibleState
-from repro.cuba import build_abstraction, compute_z
+from repro.cuba import build_abstraction, compute_z, generator_analysis, generators_in_z
 from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds
+from repro.models.registry import runnable_benchmarks
 from repro.pds import EMPTY, PDS
 from repro.reach import ExplicitReach
+from repro.util.meter import METER
+from tests.oracles import overapprox as oracle
 
 
 def vs(shared, *tops):
@@ -197,3 +202,47 @@ def test_abstract_levels_dominate_concrete(cpds):
     for k in range(4):
         abstract = levels[min(k, len(levels) - 1)]
         assert engine.visible_up_to(k) <= abstract, f"k={k}"
+
+
+# ---------------------------------------------------------------------------
+# The packed-int BFS against the VisibleState BFS oracle: same |Z|, G ∩ Z,
+# Z, and one overapprox.abstract_steps per dequeued product state.
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(cpds):
+    steps = "overapprox.abstract_steps"
+    before = METER.get(steps)
+    z = oracle.compute_z(cpds)
+    oracle_steps = METER.get(steps) - before
+
+    analysis = generator_analysis(cpds)
+    before = METER.get(steps)
+    z_size, generators = generators_in_z(cpds, analysis)
+    assert METER.get(steps) - before == oracle_steps
+    assert z_size == len(z)
+    assert generators == analysis.intersect(z)
+
+    before = METER.get(steps)
+    assert compute_z(cpds) == z
+    assert METER.get(steps) - before == oracle_steps
+
+
+PAPER_MODELS = {
+    "fig1": fig1_cpds,
+    "fig2": fig2_cpds,
+    **{
+        bench.name: (lambda bench=bench: bench.build()[0])
+        for bench in runnable_benchmarks()
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PAPER_MODELS))
+def test_packed_z_matches_oracle_on_paper_models(name):
+    assert_matches_oracle(PAPER_MODELS[name]())
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_cpds())
+def test_packed_z_matches_oracle_on_random_cpds(cpds):
+    assert_matches_oracle(cpds)

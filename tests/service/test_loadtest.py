@@ -10,6 +10,9 @@ newest-comparable-baseline selector.
 
 import json
 
+import pytest
+
+from repro.errors import ServiceError
 from repro.service.loadtest import (
     LOADTEST_SCHEMA,
     build_workloads,
@@ -17,6 +20,7 @@ from repro.service.loadtest import (
     comparable_loadtest_configs,
     latest_comparable_loadtest,
     run_loadtest,
+    spawn_replicas,
     write_loadtest_json,
     _percentile,
 )
@@ -51,6 +55,16 @@ def test_percentile():
     assert _percentile(values, 0.0) == 1.0
     assert _percentile(values, 1.0) == 100.0
     assert 49.0 <= _percentile(values, 0.5) <= 52.0
+
+
+def test_replica_output_goes_to_a_log_file(tmp_path):
+    # A replica's output goes to a file, never to an unread pipe that
+    # would block the daemon once full; a start-up failure quotes the
+    # file's tail.
+    store = tmp_path / "store.sqlite"
+    with pytest.raises(ServiceError, match="invalid choice"):
+        spawn_replicas(1, store, executor="no-such-executor")
+    assert "invalid choice" in (tmp_path / "store.sqlite.replica-0.log").read_text()
 
 
 def test_two_replica_run_end_to_end(tmp_path):
